@@ -5,11 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use elsm::{AuthenticatedKv, ElsmP2, P2Options};
+use elsm_crypto::hmac::HmacSha256;
 use elsm_crypto::{sha256, AeadKey, DetKey, OpeKey};
 use merkle::{prove_range, verify_range, LevelDigest, MerkleTree};
 use sgx_sim::Platform;
 
 fn bench_crypto(c: &mut Criterion) {
+    println!("crypto: sha256 backend = {}", elsm_crypto::sha256::backend());
     let mut g = c.benchmark_group("crypto");
     let data4k = vec![0xabu8; 4096];
     g.throughput(Throughput::Bytes(4096));
@@ -18,6 +20,21 @@ fn bench_crypto(c: &mut Criterion) {
     let nonce = elsm_crypto::aead::nonce_from_u64s(1, 2);
     g.bench_function("aead_seal_4k", |b| {
         b.iter(|| aead.seal(&nonce, b"", std::hint::black_box(&data4k)))
+    });
+    // One Merkle inner node: a domain byte plus two child digests.
+    let node = [0x5au8; 65];
+    g.throughput(Throughput::Bytes(65));
+    g.bench_function("sha256_64b", |b| b.iter(|| sha256(std::hint::black_box(&node))));
+    // A cache-entry or envelope tag: a context keyed once, cloned per message.
+    let mac = HmacSha256::new(b"bench");
+    let msg64 = [0xa5u8; 64];
+    g.throughput(Throughput::Bytes(64));
+    g.bench_function("hmac_64b", |b| {
+        b.iter(|| {
+            let mut h = mac.clone();
+            h.update(std::hint::black_box(&msg64));
+            h.finalize()
+        })
     });
     let det = DetKey::derive(b"bench");
     g.throughput(Throughput::Bytes(16));

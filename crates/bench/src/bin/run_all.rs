@@ -1,5 +1,6 @@
-//! Regenerates every table and figure, printing both text and the markdown
-//! blocks recorded in EXPERIMENTS.md. Pass `--quick` for a fast pass, or
+//! Regenerates every table and figure (see the README's "Reproducing the
+//! figures" section), printing text tables, or markdown tables with
+//! `--markdown`. Pass `--quick` for a fast pass, or
 //! `--only <figures>` with a comma-separated list (e.g. `--only
 //! fig11,fig12`) to run a subset: each selected figure then writes its own
 //! `BENCH_results.<figure>.json`, so a partial run never clobbers the

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use elsm_crypto::hmac::hmac_sha256;
+use elsm_crypto::hmac::HmacSha256;
 use elsm_crypto::Digest;
 use lsm_store::Timestamp;
 use parking_lot::Mutex;
@@ -145,7 +145,8 @@ const ENTRY_OVERHEAD: usize = 64;
 #[derive(Debug)]
 pub struct VerifiedCache {
     platform: Arc<Platform>,
-    mac_key: Digest,
+    /// Entry-tag HMAC context, keyed once at startup.
+    mac: HmacSha256,
     capacity: usize,
     inner: Mutex<Inner>,
     metrics: CacheMetrics,
@@ -171,7 +172,7 @@ impl VerifiedCache {
         let mac_key = elsm_crypto::sha256(b"elsm/verified-cache key v1");
         Arc::new(VerifiedCache {
             platform,
-            mac_key,
+            mac: HmacSha256::new(mac_key.as_bytes()),
             capacity,
             inner: Mutex::new(Inner::default()),
             metrics: CacheMetrics::new(telemetry),
@@ -181,24 +182,24 @@ impl VerifiedCache {
 
     fn record_tag(&self, key: &[u8], epoch: u64, ts: Timestamp, value: &[u8]) -> Digest {
         self.platform.charge_hash(key.len() + value.len() + 16);
-        let mut msg = Vec::with_capacity(key.len() + value.len() + 17);
-        msg.push(0x01); // domain: record entry
-        msg.extend_from_slice(&epoch.to_le_bytes());
-        msg.extend_from_slice(&ts.to_le_bytes());
-        msg.extend_from_slice(key);
-        msg.extend_from_slice(value);
-        hmac_sha256(self.mac_key.as_bytes(), &msg)
+        let mut mac = self.mac.clone();
+        mac.update(&[0x01]); // domain: record entry
+        mac.update(&epoch.to_le_bytes());
+        mac.update(&ts.to_le_bytes());
+        mac.update(key);
+        mac.update(value);
+        mac.finalize()
     }
 
     fn vlog_tag(&self, file_no: u64, offset: u64, mac: &[u8; 32], payload: &[u8]) -> Digest {
         self.platform.charge_hash(payload.len() + 48);
-        let mut msg = Vec::with_capacity(payload.len() + 49);
-        msg.push(0x02); // domain: value-log slot
-        msg.extend_from_slice(&file_no.to_le_bytes());
-        msg.extend_from_slice(&offset.to_le_bytes());
-        msg.extend_from_slice(mac);
-        msg.extend_from_slice(payload);
-        hmac_sha256(self.mac_key.as_bytes(), &msg)
+        let mut tag = self.mac.clone();
+        tag.update(&[0x02]); // domain: value-log slot
+        tag.update(&file_no.to_le_bytes());
+        tag.update(&offset.to_le_bytes());
+        tag.update(mac);
+        tag.update(payload);
+        tag.finalize()
     }
 
     /// Looks up the verified answer for `key` under `epoch`.

@@ -19,7 +19,7 @@
 //!   still be held against the primary — which is what makes both the
 //!   replica's fork check and the monitor's divergence check binding.
 
-use elsm_crypto::hmac::hmac_sha256;
+use elsm_crypto::hmac::HmacSha256;
 use elsm_crypto::{sha256, Digest};
 use sgx_sim::Platform;
 
@@ -30,8 +30,11 @@ use crate::trusted::TrustedState;
 /// Used for two separable purposes, domain-tagged apart: transport
 /// authentication of shipped envelopes (the channel MAC) and signing of
 /// version-install announcements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionKey([u8; 32]);
+///
+/// Holds the HMAC context keyed with the group key once; every MAC clones
+/// it.
+#[derive(Debug, Clone)]
+pub struct SessionKey(HmacSha256);
 
 /// Domain tag for channel-envelope MACs.
 const DOMAIN_CHANNEL: u8 = 0x01;
@@ -42,7 +45,9 @@ impl SessionKey {
     /// Derives a group key from a seed (stands in for the attested key
     /// exchange).
     pub fn derive(seed: &[u8]) -> Self {
-        SessionKey(*sha256(&[b"elsm-replica session v1/", seed].concat()).as_bytes())
+        SessionKey(HmacSha256::new(
+            sha256(&[b"elsm-replica session v1/", seed].concat()).as_bytes(),
+        ))
     }
 
     /// MACs one transport envelope: `tag = HMAC(key, 0x01 ‖ seq ‖ payload)`.
@@ -50,20 +55,20 @@ impl SessionKey {
     /// replay into detectable tampering.
     pub fn mac_envelope(&self, platform: &Platform, seq: u64, payload: &[u8]) -> Digest {
         platform.charge_hash(payload.len() + 9 + 64);
-        let mut msg = Vec::with_capacity(payload.len() + 9);
-        msg.push(DOMAIN_CHANNEL);
-        msg.extend_from_slice(&seq.to_le_bytes());
-        msg.extend_from_slice(payload);
-        hmac_sha256(&self.0, &msg)
+        let mut mac = self.0.clone();
+        mac.update(&[DOMAIN_CHANNEL]);
+        mac.update(&seq.to_le_bytes());
+        mac.update(payload);
+        mac.finalize()
     }
 
     fn mac_announcement(&self, node: u32, epoch: u64, commitments: &Digest) -> Digest {
-        let mut msg = Vec::with_capacity(45);
-        msg.push(DOMAIN_ANNOUNCE);
-        msg.extend_from_slice(&node.to_le_bytes());
-        msg.extend_from_slice(&epoch.to_le_bytes());
-        msg.extend_from_slice(commitments.as_bytes());
-        hmac_sha256(&self.0, &msg)
+        let mut mac = self.0.clone();
+        mac.update(&[DOMAIN_ANNOUNCE]);
+        mac.update(&node.to_le_bytes());
+        mac.update(&epoch.to_le_bytes());
+        mac.update(commitments.as_bytes());
+        mac.finalize()
     }
 }
 

@@ -32,7 +32,8 @@ pub const TAG_LEN: usize = 32;
 #[derive(Clone)]
 pub struct AeadKey {
     enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    /// HMAC context keyed with the MAC subkey once; each message clones it.
+    mac: HmacSha256,
 }
 
 impl fmt::Debug for AeadKey {
@@ -47,7 +48,7 @@ impl AeadKey {
     pub fn derive(master: &[u8]) -> Self {
         let enc = hmac_sha256(master, b"elsm/aead/enc");
         let mac = hmac_sha256(master, b"elsm/aead/mac");
-        AeadKey { enc_key: enc.into_bytes(), mac_key: mac.into_bytes() }
+        AeadKey { enc_key: enc.into_bytes(), mac: HmacSha256::new(mac.as_bytes()) }
     }
 
     fn keystream_block(&self, nonce: &[u8; NONCE_LEN], counter: u64) -> Digest {
@@ -70,7 +71,7 @@ impl AeadKey {
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = plaintext.to_vec();
         self.xor_keystream(nonce, &mut out);
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
@@ -98,7 +99,7 @@ impl AeadKey {
         }
         let split = ciphertext_and_tag.len() - TAG_LEN;
         let (ct, tag_bytes) = ciphertext_and_tag.split_at(split);
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);

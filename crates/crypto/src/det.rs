@@ -15,12 +15,13 @@
 
 use std::fmt;
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 
 /// Key for deterministic encryption of data keys.
 #[derive(Clone)]
 pub struct DetKey {
-    rounds: [[u8; 32]; 4],
+    /// One keyed HMAC context per Feistel round.
+    rounds: [HmacSha256; 4],
 }
 
 impl fmt::Debug for DetKey {
@@ -32,10 +33,9 @@ impl fmt::Debug for DetKey {
 impl DetKey {
     /// Derives a deterministic-encryption key from master key material.
     pub fn derive(master: &[u8]) -> Self {
-        let mut rounds = [[0u8; 32]; 4];
-        for (i, r) in rounds.iter_mut().enumerate() {
-            *r = hmac_sha256(master, format!("elsm/det/round{i}").as_bytes()).into_bytes();
-        }
+        let rounds = std::array::from_fn(|i| {
+            HmacSha256::new(hmac_sha256(master, format!("elsm/det/round{i}").as_bytes()).as_bytes())
+        });
         DetKey { rounds }
     }
 
@@ -44,10 +44,10 @@ impl DetKey {
         let mut out = Vec::with_capacity(out_len);
         let mut ctr = 0u32;
         while out.len() < out_len {
-            let mut msg = Vec::with_capacity(data.len() + 4);
-            msg.extend_from_slice(&ctr.to_be_bytes());
-            msg.extend_from_slice(data);
-            let block = hmac_sha256(&self.rounds[i], &msg);
+            let mut mac = self.rounds[i].clone();
+            mac.update(&ctr.to_be_bytes());
+            mac.update(data);
+            let block = mac.finalize();
             let take = (out_len - out.len()).min(32);
             out.extend_from_slice(&block.as_bytes()[..take]);
             ctr += 1;

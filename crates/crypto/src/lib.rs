@@ -10,6 +10,7 @@
 //! specification:
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256 (NIST vectors in tests),
+//!   on the x86-64 SHA extensions (SHA-NI) when the CPU has them,
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 (RFC 4231 vectors in tests),
 //! * [`aead`] — encrypt-then-MAC AEAD (stream cipher from SHA-256-CTR),
 //! * [`det`] — deterministic encryption via a 4-round Feistel PRP,
@@ -28,7 +29,9 @@
 //! assert_eq!(tag.as_bytes().len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+// The SHA-NI kernel (`sha256::shani`) is the only module allowed `unsafe`;
+// every block there names the CPU-feature check it relies on.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

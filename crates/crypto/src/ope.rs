@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 
 /// Bits of plaintext domain (full `u64`).
 const DOMAIN_BITS: u32 = 64;
@@ -29,7 +29,8 @@ const ROOT_WIDTH: u128 = 1u128 << 127;
 /// Key for order-preserving encoding of `u64` keys into `u128` codes.
 #[derive(Clone)]
 pub struct OpeKey {
-    key: [u8; 32],
+    /// HMAC context keyed once; every split point clones it.
+    mac: HmacSha256,
 }
 
 impl fmt::Debug for OpeKey {
@@ -41,7 +42,7 @@ impl fmt::Debug for OpeKey {
 impl OpeKey {
     /// Derives an OPE key from master key material.
     pub fn derive(master: &[u8]) -> Self {
-        OpeKey { key: hmac_sha256(master, b"elsm/ope").into_bytes() }
+        OpeKey { mac: HmacSha256::new(hmac_sha256(master, b"elsm/ope").as_bytes()) }
     }
 
     /// Pseudorandom split fraction for trie node (`depth`, `prefix`),
@@ -51,7 +52,9 @@ impl OpeKey {
         let mut msg = [0u8; 12];
         msg[..4].copy_from_slice(&depth.to_be_bytes());
         msg[4..].copy_from_slice(&prefix.to_be_bytes());
-        let h = hmac_sha256(&self.key, &msg);
+        let mut mac = self.mac.clone();
+        mac.update(&msg);
+        let h = mac.finalize();
         let b = h.as_bytes();
         let r14 = u128::from(u16::from_be_bytes([b[0], b[1]]) >> 2); // [0, 2^14)
         (3u128 << 13) + r14 // [3·2^13, 5·2^13) ⊂ [3/8, 5/8) · 2^16

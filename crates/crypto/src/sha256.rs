@@ -3,8 +3,18 @@
 //! Implemented from the specification because the reproduction is restricted
 //! to the offline crate set (no `sha2`). Verified against the NIST
 //! short-message test vectors in the unit tests below.
+//!
+//! Two compression functions produce identical states: the portable scalar
+//! `compress` and, on x86-64 CPUs with the SHA extensions, the SHA-NI
+//! kernel in `shani`. The CPU alone picks one, once per process; see
+//! [`backend`]. Digests never depend on the choice, and neither does any
+//! modeled cost (the cost model counts bytes, not time).
 
 use crate::digest::Digest;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -71,108 +81,112 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        // Every whole block goes straight from the caller's slice.
+        let whole = rest.len() & !63;
+        if whole > 0 {
+            compress_blocks(&mut self.state, &rest[..whole]);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = &rest[whole..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80 then zero padding then the 64-bit big-endian length.
-        self.update_padding(bit_len);
+        // Append 0x80, zero padding to 56 mod 64, then the 64-bit
+        // big-endian bit length: one final block, or two when fewer than
+        // 9 bytes are left in the current one.
+        let mut last = [0u8; 128];
+        last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        last[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        last[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &last[..end]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn update_padding(&mut self, bit_len: u64) {
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad so that total length ≡ 56 (mod 64), then 8 bytes of length.
-        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Manual absorb that must not touch self.len again.
-        let data = &pad[..pad_len + 8];
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(rest.len());
-            let start = self.buf_len;
-            self.buf[start..start + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
-        }
-        debug_assert!(rest.is_empty());
+/// Which compression function this process uses: `"sha-ni"` on x86-64
+/// CPUs with the SHA extensions, `"scalar"` everywhere else.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if shani::ShaNi::detect().is_some() {
+        return "sha-ni";
     }
+    "scalar"
+}
 
-    #[inline]
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Compresses every 64-byte block of `blocks` (whose length is a multiple
+/// of 64) into `state`, on the fastest path this CPU offers.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = shani::ShaNi::detect() {
+        return ni.compress_blocks(state, blocks);
     }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// [`compress_blocks`] on the portable path only.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// The FIPS 180-4 compression function, one block at a time.
+#[inline]
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256 of `data`.
@@ -209,6 +223,62 @@ mod tests {
         sha256(data).to_hex()
     }
 
+    /// SHA-256 on the scalar path only, whatever this CPU supports:
+    /// FIPS 180-4 padding written out independently of [`Sha256`].
+    fn scalar_sha256(data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_blocks_scalar(&mut state, &msg);
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest::from_bytes(out)
+    }
+
+    /// Deterministic non-repeating test bytes.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n as u32).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8).collect()
+    }
+
+    #[test]
+    fn nist_vectors_on_scalar_path() {
+        let cases: [(&[u8], &str); 4] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ];
+        for (msg, want) in cases {
+            assert_eq!(scalar_sha256(msg).to_hex(), want);
+        }
+        let million_a = vec![b'a'; 1_000_000];
+        assert_eq!(
+            scalar_sha256(&million_a).to_hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    #[test]
+    fn dispatched_path_matches_scalar_for_every_short_length() {
+        println!("sha256 dispatched path: {}", backend());
+        let data = pattern(320);
+        for n in 0..=320 {
+            assert_eq!(sha256(&data[..n]), scalar_sha256(&data[..n]), "length {n} ({})", backend());
+        }
+    }
+
     #[test]
     fn nist_empty() {
         assert_eq!(hex(b""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -243,13 +313,16 @@ mod tests {
 
     #[test]
     fn incremental_matches_oneshot() {
+        println!("sha256 dispatched path: {}", backend());
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
+        let want = scalar_sha256(&data);
+        assert_eq!(sha256(&data), want);
         for chunk in [1usize, 3, 7, 63, 64, 65, 127, 1000] {
             let mut h = Sha256::new();
             for c in data.chunks(chunk) {
                 h.update(c);
             }
-            assert_eq!(h.finalize(), sha256(&data), "chunk size {chunk}");
+            assert_eq!(h.finalize(), want, "chunk size {chunk} ({})", backend());
         }
     }
 
