@@ -70,6 +70,24 @@ fn bench_merkle(c: &mut Criterion) {
             LevelDigest::from_records(3, records.iter().map(|(k, v)| (k.as_slice(), v.clone())))
         })
     });
+    // One hot key's 256-version chain among 2k singleton keys: build the
+    // digest, then encode every record's proof (a compaction's proof pass).
+    let mut hot = records.clone();
+    let chain = (0..256u32).map(|v| (b"key000999~hot".to_vec(), vec![v as u8; 116]));
+    hot.splice(1000..1000, chain);
+    g.bench_function("hot_chain_256_proofs", |b| {
+        b.iter(|| {
+            let d =
+                LevelDigest::from_records(3, hot.iter().map(|(k, v)| (k.as_slice(), v.clone())));
+            let mut bytes = 0;
+            for leaf in 0..d.leaf_count() {
+                for version in 0..d.chain_records(leaf).len() {
+                    bytes += d.encode_version_proof(leaf, version, &mut Vec::new());
+                }
+            }
+            bytes
+        })
+    });
     g.finish();
 }
 

@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use lsm_store::{CompactionInfo, Record, RecordSource, StoreListener};
 use merkle::{LevelDigest, LevelDigestBuilder};
 use parking_lot::Mutex;
@@ -35,7 +36,7 @@ use sgx_sim::Platform;
 
 use crate::cache::VerifiedCache;
 use crate::digests::UntrustedDigests;
-use crate::envelope::{open_record, wrap_plain, wrap_with_proof};
+use crate::envelope::{open_record_borrowed, proof_envelope, split, wrap_plain};
 use crate::trusted::{CompactionDelta, TrustedState};
 
 /// State a finished merge stages for its install (commit happens under
@@ -136,55 +137,69 @@ impl AuthListener {
         // Trusted-side work on a flush/compaction worker thread: attribute
         // the hashing to the enclave in the platform's time split.
         let _world = sgx_sim::enclave_scope();
-        // 1. Build the output level's digest over canonical record bytes.
-        //    Unchanged records (incremental mode) reuse their stored leaf
-        //    work: the enclave pays a digest move, not a rehash.
+        let is_unchanged =
+            |i: usize| self.incremental && unchanged.get(i).copied().unwrap_or(false);
+        // 1. Build the output level's digest over canonical record bytes,
+        //    one key chain at a time. Unchanged records (incremental mode)
+        //    reuse their stored leaf work: the enclave pays a digest move,
+        //    not a rehash, and a chain whose every record is unchanged
+        //    copies its digests from the input tree that hashed it.
         let mut builder = LevelDigestBuilder::new(output_level as u32);
-        let mut opened = Vec::with_capacity(records.len());
-        for (i, record) in records.iter().enumerate() {
-            match open_record(record, output_level as u32) {
-                Ok((canonical, value, _old_proof)) => {
-                    if self.incremental && unchanged.get(i).copied().unwrap_or(false) {
-                        self.platform.dram_access(32);
-                    } else {
-                        self.platform.charge_hash(canonical.len());
+        // Per record: its bare value, leaf index and version index in its
+        // chain (`None`: malformed envelope, left out of the digest).
+        let mut opened: Vec<Option<(&[u8], usize, usize)>> = Vec::with_capacity(records.len());
+        let mut leaves = 0;
+        let mut chain_start = 0;
+        while chain_start < records.len() {
+            let key = &records[chain_start].key;
+            let chain_end =
+                chain_start + records[chain_start..].iter().take_while(|r| r.key == *key).count();
+            let mut chain = Vec::with_capacity(chain_end - chain_start);
+            for (i, record) in records.iter().enumerate().take(chain_end).skip(chain_start) {
+                match open_record_borrowed(record, output_level as u32) {
+                    Ok((canonical, value)) => {
+                        if is_unchanged(i) {
+                            self.platform.dram_access(32);
+                        } else {
+                            self.platform.charge_hash(canonical.len());
+                        }
+                        opened.push(Some((value, leaves, chain.len())));
+                        chain.push(canonical);
                     }
-                    builder.add(&record.key, canonical);
-                    opened.push(value);
-                }
-                Err(_) => {
-                    self.trusted.poison();
-                    opened.push(record.value.clone());
+                    Err(_) => {
+                        self.trusted.poison();
+                        opened.push(None);
+                    }
                 }
             }
+            leaves += usize::from(!chain.is_empty());
+            if (chain_start..chain_end).all(is_unchanged) {
+                let mut scratch = self.scratch.lock();
+                builder.add_chain_from(key, chain, scratch.input_builders.values_mut());
+            } else {
+                builder.add_chain(key, chain);
+            }
+            chain_start = chain_end;
         }
         let digest = builder.finish();
         // 2. Embed a fresh proof in every output record
-        //    (auth_onTableFileCreated).
+        //    (auth_onTableFileCreated), encoded straight into the record's
+        //    envelope. Proof material was already hashed while building
+        //    the tree; serialization is a plain memory copy.
         let mut out = Vec::with_capacity(records.len());
-        let mut leaf_idx = 0usize;
-        let mut version_idx = 0usize;
-        let mut prev_key: Option<&[u8]> = None;
-        for (record, value) in records.iter().zip(&opened) {
-            match prev_key {
-                Some(k) if k == &record.key[..] => version_idx += 1,
-                Some(_) => {
-                    leaf_idx += 1;
-                    version_idx = 0;
+        for (record, opened) in records.iter().zip(&opened) {
+            let value = match *opened {
+                Some((value, leaf_idx, version_idx)) => {
+                    let mut buf =
+                        proof_envelope(value, digest.version_proof_len(leaf_idx, version_idx));
+                    let appended = digest.encode_version_proof(leaf_idx, version_idx, &mut buf);
+                    self.platform.dram_access(appended);
+                    Bytes::from(buf)
                 }
-                None => {}
-            }
-            prev_key = Some(&record.key[..]);
-            // Proof material was already hashed while building the tree;
-            // serialization is a plain memory copy.
-            let proof = digest.prove_version(leaf_idx, version_idx);
-            self.platform.dram_access(proof.encoded_len());
-            out.push(Record {
-                key: record.key.clone(),
-                ts: record.ts,
-                kind: record.kind,
-                value: wrap_with_proof(value, &proof),
-            });
+                // The store is poisoned; the record is never signed.
+                None => record.value.clone(),
+            };
+            out.push(Record { key: record.key.clone(), ts: record.ts, kind: record.kind, value });
         }
         self.scratch.lock().pending_outputs.insert(output_level, digest);
         out
@@ -194,7 +209,7 @@ impl AuthListener {
 impl StoreListener for AuthListener {
     fn on_wal_append(&self, record: &Record) {
         // Records enter the WAL with a plain envelope; digest bare bytes.
-        if let Ok((canonical, _, _)) = open_record(record, 0) {
+        if let Ok((canonical, _)) = open_record_borrowed(record, 0) {
             self.trusted.absorb_wal(&canonical);
         }
         if let Some(cache) = &self.cache {
@@ -208,7 +223,9 @@ impl StoreListener for AuthListener {
         // value is identical to per-record absorbs.
         let canonicals: Vec<Vec<u8>> = records
             .iter()
-            .filter_map(|record| open_record(record, 0).ok().map(|(canonical, _, _)| canonical))
+            .filter_map(|record| {
+                open_record_borrowed(record, 0).ok().map(|(canonical, _)| canonical)
+            })
             .collect();
         self.trusted.absorb_wal_batch(canonicals.iter().map(Vec::as_slice));
         if let Some(cache) = &self.cache {
@@ -229,7 +246,7 @@ impl StoreListener for AuthListener {
     }
 
     fn unwrap_vlog_pointer(&self, stored: &[u8]) -> Option<bytes::Bytes> {
-        crate::envelope::unwrap(stored).map(|(value, _)| value)
+        split(stored).map(|(value, _)| Bytes::copy_from_slice(value))
     }
 
     fn on_compaction_input(&self, source: RecordSource, record: &Record) {
@@ -237,7 +254,7 @@ impl StoreListener for AuthListener {
         // (Figure 4, auth_filter → MHT_add on the input trees).
         let _world = sgx_sim::enclave_scope();
         let level = source.level as u32;
-        let Ok((canonical, _, _)) = open_record(record, level) else {
+        let Ok((canonical, _)) = open_record_borrowed(record, level) else {
             // Malformed envelope in an input: the level can never match.
             self.trusted.poison();
             return;
@@ -278,7 +295,7 @@ impl StoreListener for AuthListener {
             let level = level as u32;
             match scratch.input_builders.remove(&level) {
                 Some(builder) => {
-                    let rebuilt = builder.finish().commitment();
+                    let rebuilt = builder.commitment();
                     if rebuilt != self.trusted.commitment(level) {
                         self.trusted.poison();
                     }
@@ -378,8 +395,7 @@ pub fn vlog_entry_mac(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::wrap_plain;
-    use bytes::Bytes;
+    use crate::envelope::open_record;
 
     fn record(key: &str, ts: u64, value: &str) -> Record {
         Record::put(Bytes::copy_from_slice(key.as_bytes()), wrap_plain(value.as_bytes()), ts)
@@ -556,5 +572,42 @@ mod tests {
             inc_hashed < full_hashed,
             "incremental mode must hash fewer bytes ({inc_hashed} vs {full_hashed})"
         );
+    }
+
+    /// In incremental mode, chains the store tags unchanged take their
+    /// digests from the input tree that already hashed them: the output
+    /// side hashes only its Merkle tree's interior nodes, and the records
+    /// and commitment equal a full rehash's.
+    #[test]
+    fn unchanged_chains_reuse_input_tree_digests() {
+        let mut level1 = vec![record("a", 9, "va")];
+        level1.extend((1..=8).rev().map(|ts| record("hot", ts, &format!("v{ts}"))));
+        level1.push(record("z", 10, "vz"));
+        let mut outputs = Vec::new();
+        let mut compressions = Vec::new();
+        for incremental in [false, true] {
+            let platform = Platform::with_defaults();
+            let trusted = TrustedState::new(platform.clone(), 4);
+            let digests = UntrustedDigests::new(platform.clone());
+            let listener =
+                AuthListener::with_incremental(platform, trusted.clone(), digests, incremental);
+            let out1 = listener.transform_output(1, level1.clone());
+            finish(&listener, &info(vec![0], 1, out1.len() as u64));
+            for r in &out1 {
+                listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r);
+            }
+            let before = elsm_crypto::thread_compressions();
+            let out2 = listener.transform_output_tagged(2, out1.clone(), &vec![true; out1.len()]);
+            compressions.push(elsm_crypto::thread_compressions() - before);
+            finish(&listener, &info(vec![1, 2], 2, out2.len() as u64));
+            assert!(!trusted.is_poisoned());
+            outputs.push((out2, trusted.commitment(2)));
+        }
+        assert_eq!(outputs[0], outputs[1]);
+        // Three leaves: two interior nodes of two blocks each, plus the
+        // one-block fold of the input's last chain ("z"), which the input
+        // side runs here instead of at its commitment check.
+        assert_eq!(compressions[1], 2 * 2 + 1, "reused chains must not be rehashed");
+        assert!(compressions[0] > compressions[1]);
     }
 }

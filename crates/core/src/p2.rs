@@ -21,7 +21,7 @@ use sim_disk::{Placement, SimDisk, SimFs};
 use crate::api::{AuthenticatedKv, VerifiedRecord};
 use crate::cache::{CacheStats, VerifiedCache};
 use crate::digests::UntrustedDigests;
-use crate::envelope::{open_record, wrap_plain};
+use crate::envelope::{open_record_borrowed, open_value, wrap_plain};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
 use crate::trusted::{RangeProver, TrustedState, VerifyStats};
@@ -346,7 +346,7 @@ impl ElsmP2 {
             }
             let mut builder = merkle::LevelDigestBuilder::new(level);
             for record in &records {
-                if let Ok((canonical, _, _)) = open_record(record, level) {
+                if let Ok((canonical, _)) = open_record_borrowed(record, level) {
                     builder.add(&record.key, canonical);
                 }
             }
@@ -473,14 +473,14 @@ impl ElsmP2 {
         if !record.kind.is_value() {
             return Ok(None); // verified tombstone: key absent
         }
-        let Ok((_, value, proof)) = open_record(record, 0) else {
+        let Ok((value, proof)) = open_value(record, 0) else {
             return Ok(None);
         };
-        let proof_bytes = proof.map_or(0, |p| p.encoded_len());
+        let proof_bytes = proof.map_or(0, <[u8]>::len);
         let value = if record.kind == ValueKind::VlogPut {
-            self.resolve_vlog_value(record, &value)?
+            self.resolve_vlog_value(record, value)?
         } else {
-            value
+            Bytes::copy_from_slice(value)
         };
         Ok(Some(VerifiedRecord::new(
             record.key.clone(),
@@ -689,17 +689,17 @@ impl ElsmP2 {
         verdict?;
         let mut out = Vec::with_capacity(trace.merged.len());
         for record in &trace.merged {
-            let (_, value, proof) = open_record(record, 0).map_err(ElsmError::Verification)?;
+            let (value, proof) = open_value(record, 0).map_err(ElsmError::Verification)?;
             let value = if record.kind == ValueKind::VlogPut {
-                self.resolve_vlog_value(record, &value)?
+                self.resolve_vlog_value(record, value)?
             } else {
-                value
+                Bytes::copy_from_slice(value)
             };
             out.push(VerifiedRecord::new(
                 record.key.clone(),
                 value,
                 record.ts,
-                proof.map_or(0, |p| p.encoded_len()),
+                proof.map_or(0, <[u8]>::len),
                 trace.levels.len(),
             ));
         }
@@ -933,6 +933,44 @@ mod tests {
                 .map(|r| (r.key().to_vec(), r.value().to_vec()))
                 .collect();
             assert_eq!(got, expect_scan, "{strategy:?}/par{parallelism} scan diverged");
+        }
+    }
+
+    /// Charge/work consistency: the SHA-256 blocks a compaction really
+    /// compresses stay within a small factor of the `hash_blocks` the
+    /// platform charges for it, even when one key holds a long version
+    /// chain. Proving every version of a chain must not rehash its older
+    /// suffix (that work would grow with the square of the chain length).
+    #[test]
+    fn compaction_hashing_work_stays_within_charged_blocks() {
+        for incremental in [false, true] {
+            let platform = Platform::with_defaults();
+            let options = P2Options {
+                compaction_enabled: false,
+                compaction_parallelism: 1,
+                incremental_commitments: incremental,
+                ..P2Options::default()
+            };
+            let store = ElsmP2::open(platform.clone(), options).expect("open");
+            for version in 0..300u32 {
+                store.put(b"hot", format!("version-{version}").as_bytes()).expect("put");
+            }
+            for key in 0..40u32 {
+                store.put(format!("cold{key:03}").as_bytes(), b"value").expect("put");
+            }
+            store.db().flush().expect("flush");
+            let charged_before = platform.stats().hash_blocks;
+            let real_before = elsm_crypto::thread_compressions();
+            store.db().compact(1).expect("compact");
+            let charged = platform.stats().hash_blocks - charged_before;
+            let real = elsm_crypto::thread_compressions() - real_before;
+            assert!(
+                real <= 4 * charged,
+                "incremental={incremental}: {real} real compressions vs {charged} charged blocks"
+            );
+            assert!(!store.trusted().is_poisoned());
+            let hot = store.get(b"hot").expect("get").expect("present");
+            assert_eq!(hot.value(), b"version-299");
         }
     }
 }

@@ -10,6 +10,8 @@
 //! [`backend`]. Digests never depend on the choice, and neither does any
 //! modeled cost (the cost model counts bytes, not time).
 
+use std::cell::Cell;
+
 use crate::digest::Digest;
 
 #[cfg(target_arch = "x86_64")]
@@ -126,10 +128,23 @@ pub fn backend() -> &'static str {
     "scalar"
 }
 
+thread_local! {
+    /// Blocks this thread has compressed, on either path.
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of 64-byte blocks this thread has run through the compression
+/// function so far, whichever path ran them. Tests compare deltas of it
+/// with the `hash_blocks` a cost model charged for the same work.
+pub fn thread_compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
+
 /// Compresses every 64-byte block of `blocks` (whose length is a multiple
 /// of 64) into `state`, on the fastest path this CPU offers.
 #[inline]
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    COMPRESSIONS.with(|c| c.set(c.get() + (blocks.len() / 64) as u64));
     #[cfg(target_arch = "x86_64")]
     if let Some(ni) = shani::ShaNi::detect() {
         return ni.compress_blocks(state, blocks);
@@ -276,6 +291,18 @@ mod tests {
         let data = pattern(320);
         for n in 0..=320 {
             assert_eq!(sha256(&data[..n]), scalar_sha256(&data[..n]), "length {n} ({})", backend());
+        }
+    }
+
+    #[test]
+    fn compression_counter_counts_every_padded_block() {
+        let data = pattern(200);
+        for n in 0..=200 {
+            let before = thread_compressions();
+            sha256(&data[..n]);
+            // Message, the 0x80 byte and the 8-byte length, in whole blocks.
+            let blocks = (n + 9).div_ceil(64) as u64;
+            assert_eq!(thread_compressions() - before, blocks, "length {n} ({})", backend());
         }
     }
 

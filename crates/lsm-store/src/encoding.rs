@@ -11,6 +11,11 @@ pub fn put_varint_u64(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
+/// Number of bytes [`put_varint_u64`] appends for `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Decodes a LEB128 varint from the front of `buf`, returning the value and
 /// the number of bytes consumed.
 ///
@@ -128,6 +133,7 @@ mod tests {
             let (got, n) = get_varint_u64(&buf).unwrap();
             assert_eq!(got, v);
             assert_eq!(n, buf.len());
+            assert_eq!(varint_len(v), buf.len());
         }
     }
 

@@ -15,7 +15,9 @@ use std::fmt;
 
 use bytes::Bytes;
 
-use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
+use crate::encoding::{
+    get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed, varint_len,
+};
 
 /// Whether a record stores a value, a value-log pointer, or a tombstone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,10 +109,22 @@ impl Record {
 
     /// Serializes the record (length-prefixed key and value, fixed suffix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.key.len() + self.value.len() + 16);
+        self.encode_with_value(&self.value)
+    }
+
+    /// Serializes the record with `value` in place of its own value, into
+    /// a buffer of exactly the encoded size.
+    pub fn encode_with_value(&self, value: &[u8]) -> Vec<u8> {
+        let len = varint_len(self.key.len() as u64)
+            + self.key.len()
+            + 8
+            + varint_len(value.len() as u64)
+            + value.len();
+        let mut buf = Vec::with_capacity(len);
         put_length_prefixed(&mut buf, &self.key);
         put_fixed_u64(&mut buf, pack(self.ts, self.kind));
-        put_length_prefixed(&mut buf, &self.value);
+        put_length_prefixed(&mut buf, value);
+        debug_assert_eq!(buf.len(), len);
         buf
     }
 

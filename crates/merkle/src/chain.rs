@@ -67,9 +67,24 @@ impl ChainPosition {
 
     /// The newer-record bytes this position exposes (empty for the newest).
     pub fn exposed_newer(&self) -> &[Vec<u8>] {
+        self.newer_records().unwrap_or(&[])
+    }
+
+    /// The exposed newer records, or `None` for the newest position (the
+    /// encoding tells an empty `Older` list apart from `Newest`).
+    pub fn newer_records(&self) -> Option<&[Vec<u8>]> {
         match self {
-            ChainPosition::Newest { .. } => &[],
-            ChainPosition::Older { newer_records, .. } => newer_records,
+            ChainPosition::Newest { .. } => None,
+            ChainPosition::Older { newer_records, .. } => Some(newer_records),
+        }
+    }
+
+    /// Digest of the chain of strictly older versions.
+    pub fn older_digest(&self) -> &Digest {
+        match self {
+            ChainPosition::Newest { older_digest } | ChainPosition::Older { older_digest, .. } => {
+                older_digest
+            }
         }
     }
 }

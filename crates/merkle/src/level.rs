@@ -7,21 +7,41 @@
 //! order a compaction emits them — key ascending, timestamp descending —
 //! which is the paper's streaming `MHT_add` construction (Figure 4).
 
+use std::ops::Range;
+
 use elsm_crypto::Digest;
 
-use crate::chain::{chain_digest, ChainPosition};
-use crate::proof::{LevelCommitment, RecordProof};
+use crate::chain::{chain_link, ChainPosition};
+use crate::proof::{encode_proof, encoded_proof_len, LevelCommitment, ProofHeader, RecordProof};
 use crate::range::{prove_range, RangeProof};
 use crate::tree::MerkleTree;
 
 /// Streaming builder for a level digest (the paper's `MHT_add`).
+///
+/// Records live in one flat list: chains in key order, newest first
+/// within a chain. When a chain is complete, one oldest→newest fold over
+/// it records every version's *older digest* (the digest of the strictly
+/// older part of its chain) and the chain head, so proving any version
+/// later hashes nothing.
 #[derive(Debug, Default)]
 pub struct LevelDigestBuilder {
     level: u32,
+    /// Leaf keys; the last chain is not folded yet while `heads` is
+    /// shorter.
     keys: Vec<Vec<u8>>,
-    chains: Vec<Vec<Vec<u8>>>,
-    cur_key: Option<Vec<u8>>,
-    cur_records: Vec<Vec<u8>>,
+    /// Index into `records` of each leaf's newest record.
+    starts: Vec<usize>,
+    /// Canonical bytes of every record.
+    records: Vec<Vec<u8>>,
+    /// `older[j]`: digest of the records after `records[j]` in its chain
+    /// (filled when the chain is folded).
+    older: Vec<Digest>,
+    /// Chain head (Merkle leaf) of every folded chain.
+    heads: Vec<Digest>,
+    /// Where the last [`LevelDigestBuilder::add_chain_from`] lookup in
+    /// this builder ended: lookups arrive in key order, so each one
+    /// resumes here instead of searching every key.
+    cursor: usize,
 }
 
 impl LevelDigestBuilder {
@@ -37,49 +57,161 @@ impl LevelDigestBuilder {
     /// Panics if keys arrive out of ascending order (a correctness bug in
     /// the feeding compaction, never data-dependent).
     pub fn add(&mut self, user_key: &[u8], record_bytes: Vec<u8>) {
-        match &self.cur_key {
-            Some(k) if k.as_slice() == user_key => {
-                self.cur_records.push(record_bytes);
-            }
-            Some(k) => {
-                assert!(
-                    k.as_slice() < user_key,
-                    "level records must arrive in ascending key order"
-                );
-                self.seal_current();
-                self.cur_key = Some(user_key.to_vec());
-                self.cur_records.push(record_bytes);
-            }
-            None => {
-                self.cur_key = Some(user_key.to_vec());
-                self.cur_records.push(record_bytes);
-            }
+        if self.keys.last().map(Vec::as_slice) == Some(user_key) {
+            // The chain grows: its fold (if one ran early) is void.
+            self.heads.truncate(self.keys.len() - 1);
+        } else {
+            self.seal();
+            self.start_chain(user_key);
         }
+        self.records.push(record_bytes);
     }
 
-    fn seal_current(&mut self) {
-        if let Some(k) = self.cur_key.take() {
-            self.keys.push(k);
-            self.chains.push(std::mem::take(&mut self.cur_records));
+    /// Adds the whole version chain of `user_key` (canonical bytes, newest
+    /// first) and folds it. An empty chain adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `user_key` does not sort after every key added so far.
+    pub fn add_chain(&mut self, user_key: &[u8], chain: Vec<Vec<u8>>) {
+        if chain.is_empty() {
+            return;
         }
+        self.seal();
+        self.start_chain(user_key);
+        self.records.extend(chain);
+        self.seal();
+    }
+
+    /// Like [`LevelDigestBuilder::add_chain`], but when one of `sources`
+    /// holds a chain of `user_key` with exactly these bytes, copies its
+    /// older digests and chain head instead of hashing (folding that
+    /// chain first if it is the source's last, so the hashing happens
+    /// once, on the source side). Returns whether the digests were
+    /// reused. The digests are the same either way: they are a function
+    /// of the bytes alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `user_key` does not sort after every key added so far.
+    pub fn add_chain_from<'a>(
+        &mut self,
+        user_key: &[u8],
+        chain: Vec<Vec<u8>>,
+        sources: impl IntoIterator<Item = &'a mut LevelDigestBuilder>,
+    ) -> bool {
+        if chain.is_empty() {
+            return false;
+        }
+        let Some((older, head)) =
+            sources.into_iter().find_map(|source| source.folded_chain(user_key, &chain))
+        else {
+            self.add_chain(user_key, chain);
+            return false;
+        };
+        self.seal();
+        self.start_chain(user_key);
+        self.records.extend(chain);
+        self.older.extend_from_slice(older);
+        self.heads.push(head);
+        true
+    }
+
+    /// Older digests and head of the chain of `user_key`, if its records
+    /// equal `chain`. Folds the last chain if it matches: a later `add`
+    /// of the same key reopens it.
+    fn folded_chain(&mut self, user_key: &[u8], chain: &[Vec<u8>]) -> Option<(&[Digest], Digest)> {
+        let leaf = self.seek(user_key)?;
+        let range = chain_range(&self.starts, self.records.len(), leaf);
+        if self.records[range.clone()] != *chain {
+            return None;
+        }
+        if leaf == self.heads.len() {
+            self.seal();
+        }
+        Some((&self.older[range], self.heads[leaf]))
+    }
+
+    /// Leaf index of `user_key`. Walks forward from the cursor while the
+    /// lookups ascend (linear in the keys over a whole output stream);
+    /// binary-searches when one does not.
+    fn seek(&mut self, user_key: &[u8]) -> Option<usize> {
+        let below = |k: &Vec<u8>| k.as_slice() < user_key;
+        let mut i = self.cursor.min(self.keys.len());
+        if i > 0 && !below(&self.keys[i - 1]) {
+            i = self.keys.partition_point(below);
+        }
+        while self.keys.get(i).is_some_and(below) {
+            i += 1;
+        }
+        self.cursor = i;
+        (self.keys.get(i)?.as_slice() == user_key).then_some(i)
+    }
+
+    fn start_chain(&mut self, user_key: &[u8]) {
+        if let Some(last) = self.keys.last() {
+            assert!(last.as_slice() < user_key, "level records must arrive in ascending key order");
+        }
+        self.keys.push(user_key.to_vec());
+        self.starts.push(self.records.len());
+    }
+
+    /// Folds the last chain (unless folded already) oldest→newest,
+    /// recording each version's older digest and the chain head.
+    fn seal(&mut self) {
+        if self.heads.len() == self.keys.len() {
+            return;
+        }
+        let start = self.starts[self.heads.len()];
+        self.older.resize(self.records.len(), Digest::ZERO);
+        let mut acc = Digest::ZERO;
+        for j in (start..self.records.len()).rev() {
+            self.older[j] = acc;
+            acc = chain_link(&self.records[j], &acc);
+        }
+        self.heads.push(acc);
     }
 
     /// Number of records added so far.
     pub fn record_count(&self) -> usize {
-        self.chains.iter().map(Vec::len).sum::<usize>() + self.cur_records.len()
+        self.records.len()
+    }
+
+    /// The commitment of the finished level, without keeping the prover
+    /// material [`LevelDigestBuilder::finish`] would.
+    pub fn commitment(mut self) -> LevelCommitment {
+        self.seal();
+        let leaf_count = self.heads.len() as u64;
+        LevelCommitment {
+            level: self.level,
+            root: MerkleTree::from_leaves(self.heads).root(),
+            leaf_count,
+        }
     }
 
     /// Finishes the digest.
     pub fn finish(mut self) -> LevelDigest {
-        self.seal_current();
-        let leaves: Vec<Digest> = self.chains.iter().map(|c| chain_digest(c)).collect();
+        self.seal();
+        // The digest outlives the build (the host keeps it per level):
+        // drop the growth slack.
+        self.keys.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.records.shrink_to_fit();
+        self.older.shrink_to_fit();
         LevelDigest {
             level: self.level,
-            tree: MerkleTree::from_leaves(leaves),
+            tree: MerkleTree::from_leaves(self.heads),
             keys: self.keys,
-            chains: self.chains,
+            starts: self.starts,
+            records: self.records,
+            older: self.older,
         }
     }
+}
+
+/// Index range of leaf `leaf`'s records in a flat record list.
+fn chain_range(starts: &[usize], record_count: usize, leaf: usize) -> Range<usize> {
+    starts[leaf]..starts.get(leaf + 1).copied().unwrap_or(record_count)
 }
 
 /// Result of locating a key among a level's leaves.
@@ -98,14 +230,17 @@ pub enum LeafLookup {
     },
 }
 
-/// The digest of one LSM level plus the prover-side material (leaf keys and
-/// chain bytes) the *untrusted* host keeps to answer queries.
+/// The digest of one LSM level plus the prover-side material (leaf keys,
+/// chain bytes and every version's older digest) the *untrusted* host
+/// keeps to answer queries.
 #[derive(Debug, Clone)]
 pub struct LevelDigest {
     level: u32,
     tree: MerkleTree,
     keys: Vec<Vec<u8>>,
-    chains: Vec<Vec<Vec<u8>>>,
+    starts: Vec<usize>,
+    records: Vec<Vec<u8>>,
+    older: Vec<Digest>,
 }
 
 impl LevelDigest {
@@ -154,6 +289,24 @@ impl LevelDigest {
         }
     }
 
+    /// The exposed newer records (`None` for the newest version) and the
+    /// older digest of version `version_idx` of leaf `leaf_idx`.
+    fn version_parts(&self, leaf_idx: usize, version_idx: usize) -> (Option<&[Vec<u8>]>, &Digest) {
+        let range = chain_range(&self.starts, self.records.len(), leaf_idx);
+        assert!(version_idx < range.len(), "version index out of range");
+        let newer =
+            (version_idx > 0).then(|| &self.records[range.start..range.start + version_idx]);
+        (newer, &self.older[range.start + version_idx])
+    }
+
+    fn proof_header(&self, leaf_idx: usize) -> ProofHeader {
+        ProofHeader {
+            level: self.level,
+            leaf_index: leaf_idx as u64,
+            leaf_count: self.tree.leaf_count() as u64,
+        }
+    }
+
     /// Proof for the version at `version_idx` (0 = newest) of leaf
     /// `leaf_idx`.
     ///
@@ -161,21 +314,48 @@ impl LevelDigest {
     ///
     /// Panics on out-of-range indices.
     pub fn prove_version(&self, leaf_idx: usize, version_idx: usize) -> RecordProof {
-        let chain = &self.chains[leaf_idx];
-        assert!(version_idx < chain.len(), "version index out of range");
-        let older_digest = chain_digest(&chain[version_idx + 1..]);
-        let position = if version_idx == 0 {
-            ChainPosition::Newest { older_digest }
-        } else {
-            ChainPosition::Older { newer_records: chain[..version_idx].to_vec(), older_digest }
+        let (newer, &older_digest) = self.version_parts(leaf_idx, version_idx);
+        let ProofHeader { level, leaf_index, leaf_count } = self.proof_header(leaf_idx);
+        let chain = match newer {
+            None => ChainPosition::Newest { older_digest },
+            Some(newer) => ChainPosition::Older { newer_records: newer.to_vec(), older_digest },
         };
         RecordProof {
-            level: self.level,
-            leaf_index: leaf_idx as u64,
-            leaf_count: self.tree.leaf_count() as u64,
-            chain: position,
+            level,
+            leaf_index,
+            leaf_count,
+            chain,
             audit_path: self.tree.audit_path(leaf_idx),
         }
+    }
+
+    /// Appends the encoding of [`LevelDigest::prove_version`]`(leaf_idx,
+    /// version_idx)` to `out` straight from the level's tables, without
+    /// building the proof; returns the number of bytes appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    pub fn encode_version_proof(
+        &self,
+        leaf_idx: usize,
+        version_idx: usize,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let (newer, older_digest) = self.version_parts(leaf_idx, version_idx);
+        let path = self.tree.audit_siblings(leaf_idx);
+        encode_proof(out, self.proof_header(leaf_idx), newer, older_digest, path)
+    }
+
+    /// Encoded size of [`LevelDigest::prove_version`]`(leaf_idx,
+    /// version_idx)`, computed without encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    pub fn version_proof_len(&self, leaf_idx: usize, version_idx: usize) -> usize {
+        let (newer, _) = self.version_parts(leaf_idx, version_idx);
+        encoded_proof_len(newer, self.tree.audit_siblings(leaf_idx).count())
     }
 
     /// Proof for the newest version of leaf `leaf_idx` — the common case
@@ -196,13 +376,14 @@ impl LevelDigest {
 
     /// All versions' bytes of leaf `leaf_idx`, newest first.
     pub fn chain_records(&self, leaf_idx: usize) -> &[Vec<u8>] {
-        &self.chains[leaf_idx]
+        &self.records[chain_range(&self.starts, self.records.len(), leaf_idx)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::chain_digest;
     use crate::range::verify_range;
 
     /// The paper's Figure 3 example: level L2 = [⟨T,4⟩, ⟨Z,7⟩, ⟨Z,6⟩],
@@ -329,6 +510,111 @@ mod tests {
         }
         let streamed = b.finish();
         assert_eq!(one_shot.commitment(), streamed.commitment());
+    }
+
+    /// Chains of every length 1..=40 between singleton neighbours: the
+    /// in-place encoding of every version equals the encoded proof object,
+    /// verifies, and carries the digest of exactly the older suffix.
+    #[test]
+    fn in_place_encoding_matches_prove_version() {
+        for len in 1..=40usize {
+            let chain: Vec<Vec<u8>> = (0..len)
+                .map(|v| format!("hot-ts{}-{}", len - v, "x".repeat(v % 7)).into_bytes())
+                .collect();
+            let mut b = LevelDigestBuilder::new(3);
+            b.add(b"a", b"a1".to_vec());
+            for r in &chain {
+                b.add(b"hot", r.clone());
+            }
+            b.add(b"z", b"z1".to_vec());
+            let d = b.finish();
+            let c = d.commitment();
+            let LeafLookup::Found { index } = d.lookup(b"hot") else { panic!("hot present") };
+            assert_eq!(d.chain_records(index), &chain[..]);
+            for v in 0..len {
+                let proof = d.prove_version(index, v);
+                let mut out = vec![0xaa];
+                let n = d.encode_version_proof(index, v, &mut out);
+                assert_eq!(&out[1..], &proof.encode()[..], "len={len} v={v}");
+                assert_eq!(n, proof.encoded_len());
+                assert_eq!(n, d.version_proof_len(index, v));
+                assert_eq!(proof.verify(&c, &chain[v]), Ok(()), "len={len} v={v}");
+                assert_eq!(*d.version_parts(index, v).1, chain_digest(&chain[v + 1..]));
+            }
+        }
+    }
+
+    #[test]
+    fn reused_chain_digests_equal_hashed_ones() {
+        let chain = vec![b"k9".to_vec(), b"k5".to_vec(), b"k1".to_vec()];
+        let mut source = LevelDigestBuilder::new(1);
+        source.add(b"j", b"j1".to_vec());
+        for r in &chain {
+            source.add(b"k", r.clone());
+        }
+        source.add(b"m", b"open chain".to_vec());
+        let mut build = |reuse: bool, chain: Vec<Vec<u8>>| {
+            let mut b = LevelDigestBuilder::new(2);
+            b.add_chain(b"a", vec![b"a1".to_vec()]);
+            let reused = if reuse {
+                b.add_chain_from(b"k", chain, [&mut source])
+            } else {
+                b.add_chain(b"k", chain);
+                false
+            };
+            b.add_chain(b"q", vec![b"q2".to_vec(), b"q1".to_vec()]);
+            (b.finish(), reused)
+        };
+        let (hashed, _) = build(false, chain.clone());
+        let (copied, reused) = build(true, chain.clone());
+        assert!(reused);
+        assert_eq!(hashed.commitment(), copied.commitment());
+        for v in 0..chain.len() {
+            assert_eq!(hashed.prove_version(1, v), copied.prove_version(1, v));
+        }
+        // Different bytes are hashed.
+        let (_, reused) = build(true, vec![b"k9".to_vec(), b"k5".to_vec()]);
+        assert!(!reused);
+        // The source's last chain is folded on demand and reopened by a
+        // later record of its key.
+        let mut b = LevelDigestBuilder::new(2);
+        assert!(b.add_chain_from(b"m", vec![b"open chain".to_vec()], [&mut source]));
+        source.add(b"m", b"older".to_vec());
+        let mut expected = LevelDigestBuilder::new(1);
+        expected.add(b"j", b"j1".to_vec());
+        for r in chain.iter().chain([&b"open chain".to_vec(), &b"older".to_vec()]) {
+            let key: &[u8] = if r.starts_with(b"k") { b"k" } else { b"m" };
+            expected.add(key, r.clone());
+        }
+        assert_eq!(source.commitment(), expected.commitment());
+    }
+
+    #[test]
+    fn chain_lookups_find_keys_in_any_order() {
+        let key = |i: usize| format!("k{i:02}").into_bytes();
+        let mut source = LevelDigestBuilder::new(1);
+        for i in 0..20 {
+            source.add(&key(i), key(i));
+        }
+        for i in [5, 6, 12, 3, 19, 0, 7] {
+            let mut b = LevelDigestBuilder::new(2);
+            assert!(b.add_chain_from(&key(i), vec![key(i)], [&mut source]), "k{i:02}");
+            let mut absent = key(i);
+            absent.push(b'+');
+            assert!(!b.add_chain_from(&absent, vec![absent.clone()], [&mut source]));
+        }
+    }
+
+    #[test]
+    fn builder_commitment_matches_finished_digest() {
+        let mut a = LevelDigestBuilder::new(4);
+        let mut b = LevelDigestBuilder::new(4);
+        for (k, r) in [(b"a", b"a2"), (b"a", b"a1"), (b"b", b"b1")] {
+            a.add(k, r.to_vec());
+            b.add(k, r.to_vec());
+        }
+        assert_eq!(a.commitment(), b.finish().commitment());
+        assert!(LevelDigestBuilder::new(4).commitment().is_empty());
     }
 
     #[test]

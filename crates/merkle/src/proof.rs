@@ -122,30 +122,26 @@ impl RecordProof {
 
     /// Serializes the proof (for embedding in stored values).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_u32(&mut out, self.level);
-        push_u64(&mut out, self.leaf_index);
-        push_u64(&mut out, self.leaf_count);
-        match &self.chain {
-            ChainPosition::Newest { older_digest } => {
-                out.push(0);
-                out.extend_from_slice(older_digest.as_bytes());
-            }
-            ChainPosition::Older { newer_records, older_digest } => {
-                out.push(1);
-                push_u32(&mut out, newer_records.len() as u32);
-                for r in newer_records {
-                    push_u32(&mut out, r.len() as u32);
-                    out.extend_from_slice(r);
-                }
-                out.extend_from_slice(older_digest.as_bytes());
-            }
-        }
-        push_u32(&mut out, self.audit_path.len() as u32);
-        for d in &self.audit_path {
-            out.extend_from_slice(d.as_bytes());
-        }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the serialized proof to `out`, returning the number of
+    /// bytes appended (always [`RecordProof::encoded_len`], which sizes
+    /// `out` exactly when reserved first).
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+        encode_proof(
+            out,
+            ProofHeader {
+                level: self.level,
+                leaf_index: self.leaf_index,
+                leaf_count: self.leaf_count,
+            },
+            self.chain.newer_records(),
+            self.chain.older_digest(),
+            self.audit_path.iter(),
+        )
     }
 
     /// Parses a proof serialized by [`RecordProof::encode`].
@@ -166,9 +162,7 @@ impl RecordProof {
                 let mut newer = Vec::with_capacity(n);
                 for _ in 0..n {
                     let len = read_u32(buf, &mut pos)? as usize;
-                    let bytes = buf.get(pos..pos + len)?.to_vec();
-                    pos += len;
-                    newer.push(bytes);
+                    newer.push(read_bytes(buf, &mut pos, len)?.to_vec());
                 }
                 ChainPosition::Older {
                     newer_records: newer,
@@ -188,10 +182,96 @@ impl RecordProof {
         Some((RecordProof { level, leaf_index, leaf_count, chain, audit_path }, pos))
     }
 
-    /// Serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+    /// Checks that `buf` starts with a well-formed encoded proof without
+    /// decoding it: returns `Some(n)` exactly when [`RecordProof::decode`]
+    /// returns `Some((_, n))`. Allocates nothing.
+    pub fn check_encoded(buf: &[u8]) -> Option<usize> {
+        let mut pos = 0usize;
+        read_bytes(buf, &mut pos, HEADER_LEN - 1)?;
+        let tag = *buf.get(pos)?;
+        pos += 1;
+        match tag {
+            0 => {}
+            1 => {
+                let n = read_u32(buf, &mut pos)? as usize;
+                if n > buf.len() {
+                    return None;
+                }
+                for _ in 0..n {
+                    let len = read_u32(buf, &mut pos)? as usize;
+                    read_bytes(buf, &mut pos, len)?;
+                }
+            }
+            _ => return None,
+        }
+        read_bytes(buf, &mut pos, 32)?;
+        let n = read_u32(buf, &mut pos)? as usize;
+        if n > buf.len() {
+            return None;
+        }
+        read_bytes(buf, &mut pos, n.checked_mul(32)?)?;
+        Some(pos)
     }
+
+    /// Serialized size in bytes, computed without serializing.
+    pub fn encoded_len(&self) -> usize {
+        encoded_proof_len(self.chain.newer_records(), self.audit_path.len())
+    }
+}
+
+/// The fixed leading fields of an encoded proof.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProofHeader {
+    pub(crate) level: u32,
+    pub(crate) leaf_index: u64,
+    pub(crate) leaf_count: u64,
+}
+
+/// Level, leaf index, leaf count and the chain-position tag.
+const HEADER_LEN: usize = 4 + 8 + 8 + 1;
+
+/// Size of an encoded proof with the given exposed newer records
+/// (`None`: newest position) and `path_len` audit-path digests.
+pub(crate) fn encoded_proof_len<B: AsRef<[u8]>>(newer: Option<&[B]>, path_len: usize) -> usize {
+    let newer_len =
+        newer.map_or(0, |records| 4 + records.iter().map(|r| 4 + r.as_ref().len()).sum::<usize>());
+    HEADER_LEN + newer_len + 32 + 4 + 32 * path_len
+}
+
+/// The one proof encoder: appends the proof made of these parts to `out`
+/// and returns the number of bytes appended ([`encoded_proof_len`] of
+/// the same parts; callers size `out` with it). `newer` is `None` for the
+/// newest position and the exposed newer records (newest first)
+/// otherwise.
+pub(crate) fn encode_proof<'a, B: AsRef<[u8]>>(
+    out: &mut Vec<u8>,
+    header: ProofHeader,
+    newer: Option<&[B]>,
+    older_digest: &Digest,
+    audit_path: impl Iterator<Item = &'a Digest> + Clone,
+) -> usize {
+    let path_len = audit_path.clone().count();
+    let start = out.len();
+    push_u32(out, header.level);
+    push_u64(out, header.leaf_index);
+    push_u64(out, header.leaf_count);
+    match newer {
+        None => out.push(0),
+        Some(records) => {
+            out.push(1);
+            push_u32(out, records.len() as u32);
+            for r in records {
+                push_u32(out, r.as_ref().len() as u32);
+                out.extend_from_slice(r.as_ref());
+            }
+        }
+    }
+    out.extend_from_slice(older_digest.as_bytes());
+    push_u32(out, path_len as u32);
+    for d in audit_path {
+        out.extend_from_slice(d.as_bytes());
+    }
+    out.len() - start
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -200,19 +280,21 @@ fn push_u32(out: &mut Vec<u8>, v: u32) {
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
+fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let b = buf.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(b)
+}
 fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
+    let b = read_bytes(buf, pos, 4)?;
     Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
+    let b = read_bytes(buf, pos, 8)?;
     Some(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 fn read_digest(buf: &[u8], pos: &mut usize) -> Option<Digest> {
-    let b = buf.get(*pos..*pos + 32)?;
-    *pos += 32;
+    let b = read_bytes(buf, pos, 32)?;
     let mut d = [0u8; 32];
     d.copy_from_slice(b);
     Some(Digest::from_bytes(d))
@@ -322,6 +404,75 @@ mod tests {
         let bytes = p.encode();
         for cut in [0, 1, 5, bytes.len() - 1] {
             assert!(RecordProof::decode(&bytes[..cut]).is_none(), "cut={cut}");
+        }
+    }
+
+    fn proof_at(version: usize, chain_len: usize, path_len: usize) -> RecordProof {
+        let chain: Vec<Vec<u8>> = (0..chain_len).map(|i| vec![i as u8; 3 + 5 * i]).collect();
+        RecordProof {
+            level: 3,
+            leaf_index: 17,
+            leaf_count: 40,
+            chain: if version == 0 {
+                ChainPosition::Newest { older_digest: chain_digest(&chain[1..]) }
+            } else {
+                ChainPosition::Older {
+                    newer_records: chain[..version].to_vec(),
+                    older_digest: chain_digest(&chain[version + 1..]),
+                }
+            },
+            audit_path: (0..path_len).map(|i| chain_digest(&[vec![i as u8]])).collect(),
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_encoding() {
+        for chain_len in 1..=8 {
+            for version in 0..chain_len {
+                for path_len in 0..=20 {
+                    let p = proof_at(version, chain_len, path_len);
+                    assert_eq!(
+                        p.encoded_len(),
+                        p.encode().len(),
+                        "{version}/{chain_len}/{path_len}"
+                    );
+                }
+            }
+        }
+        // An `Older` position exposing no records encodes apart from `Newest`.
+        let empty_older = RecordProof {
+            chain: ChainPosition::Older { newer_records: Vec::new(), older_digest: Digest::ZERO },
+            ..proof_at(0, 1, 2)
+        };
+        assert_eq!(empty_older.encoded_len(), empty_older.encode().len());
+    }
+
+    /// Every truncation and every single-byte corruption of encoded
+    /// `Newest` and `Older` proofs: the allocation-free check accepts
+    /// exactly the prefixes `decode` accepts, with the same length.
+    #[test]
+    fn check_encoded_agrees_with_decode_under_mutation() {
+        let expect_same = |buf: &[u8]| {
+            let decoded = RecordProof::decode(buf).map(|(_, n)| n);
+            assert_eq!(RecordProof::check_encoded(buf), decoded, "{buf:?}");
+        };
+        for (version, chain_len, path_len) in [(0, 1, 0), (0, 3, 5), (1, 2, 1), (3, 4, 7)] {
+            let bytes = proof_at(version, chain_len, path_len).encode();
+            assert_eq!(RecordProof::check_encoded(&bytes), Some(bytes.len()));
+            for cut in 0..=bytes.len() {
+                expect_same(&bytes[..cut]);
+            }
+            let mut padded = bytes.clone();
+            padded.extend_from_slice(&[0u8; 40]);
+            expect_same(&padded);
+            for pos in 0..bytes.len() {
+                for flip in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                    let mut mutated = bytes.clone();
+                    mutated[pos] ^= flip;
+                    expect_same(&mutated);
+                    expect_same(&mutated[..pos + 1]);
+                }
+            }
         }
     }
 

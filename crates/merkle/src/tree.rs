@@ -87,17 +87,22 @@ impl MerkleTree {
     ///
     /// Panics if `index` is out of range.
     pub fn audit_path(&self, index: usize) -> Vec<Digest> {
+        self.audit_siblings(index).copied().collect()
+    }
+
+    /// The digests of [`MerkleTree::audit_path`], borrowed from the tree
+    /// in the same order (nothing is copied or allocated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn audit_siblings(&self, index: usize) -> impl Iterator<Item = &Digest> + Clone {
         assert!(index < self.leaf_count(), "leaf index out of range");
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sibling = idx ^ 1;
-            if sibling < level.len() {
-                path.push(level[sibling]);
-            }
-            idx /= 2;
-        }
-        path
+        let below_root = &self.levels[..self.levels.len().saturating_sub(1)];
+        below_root
+            .iter()
+            .enumerate()
+            .filter_map(move |(depth, level)| level.get((index >> depth) ^ 1))
     }
 
     /// Verifies an audit path: does `leaf` at `index` (of `leaf_count`
